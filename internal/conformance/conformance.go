@@ -86,14 +86,17 @@ type step struct {
 	path  string
 }
 
-// inProcStream collects the visit stream of an in-process exploration.
-func inProcStream(pr model.Protocol, root *model.Config, opt explore.Options) (bool, int, []step) {
+// inProcStream collects the visit stream of an in-process exploration,
+// together with the visited configurations in the same order.
+func inProcStream(pr model.Protocol, root *model.Config, opt explore.Options) (bool, int, []step, []*model.Config) {
 	var steps []step
+	var cfgs []*model.Config
 	complete, visited := explore.Explore(pr, root, opt, nil, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
 		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
+		cfgs = append(cfgs, cfg)
 		return false
 	})
-	return complete, visited, steps
+	return complete, visited, steps, cfgs
 }
 
 // compareStreams returns the first divergence between the oracle stream
@@ -212,12 +215,12 @@ func Check(name string, inputs model.Inputs, opt Options) error {
 	// Sequential oracle.
 	seqOpt := opt.Explore
 	seqOpt.Workers = 1
-	oc, ov, oracle := inProcStream(pr, root, seqOpt)
+	oc, ov, oracle, oracleCfgs := inProcStream(pr, root, seqOpt)
 
 	// Parallel in-process engine.
 	parOpt := opt.Explore
 	parOpt.Workers = opt.ParWorkers
-	pc, pv, par := inProcStream(pr, root, parOpt)
+	pc, pv, par, _ := inProcStream(pr, root, parOpt)
 	if d := compareStreams(name, fmt.Sprintf("parallel(workers=%d)", opt.ParWorkers), oc, ov, oracle, pc, pv, par); d != nil {
 		return d
 	}
@@ -286,16 +289,17 @@ func Check(name string, inputs model.Inputs, opt Options) error {
 	// cutoffs, so the leg applies only to depth-unbounded runs; refusal
 	// itself is an observable that must agree with the oracle's flag.
 	if opt.Explore.MaxDepth == 0 {
-		if d := checkAtlas(pr, root, name, opt, oc, ov, oracle); d != nil {
+		if d := checkAtlas(pr, root, name, opt, oc, ov, oracle, oracleCfgs); d != nil {
 			return d
 		}
 	}
 	return nil
 }
 
-// checkAtlas compares the one-pass atlas against the oracle stream and
+// checkAtlas compares the one-pass atlas against the oracle stream, checks
+// every node's out-edges against the oracle's configurations, and
 // spot-checks its valency answers against independent Classify runs.
-func checkAtlas(pr model.Protocol, root *model.Config, name string, opt Options, oc bool, ov int, oracle []step) error {
+func checkAtlas(pr model.Protocol, root *model.Config, name string, opt Options, oc bool, ov int, oracle []step, oracleCfgs []*model.Config) error {
 	atlas, ok := explore.BuildAtlas(pr, root, opt.Explore)
 	div := func(format string, args ...any) *Divergence {
 		return &Divergence{Protocol: name, Engine: "atlas", Detail: fmt.Sprintf(format, args...)}
@@ -318,6 +322,34 @@ func checkAtlas(pr model.Protocol, root *model.Config, name string, opt Options,
 		}
 		if got := atlas.PathTo(id).String(); got != oracle[i].path {
 			return div("atlas path to id %d is %q, oracle has %q", id, got, oracle[i].path)
+		}
+	}
+
+	// Edge check: node i's out-edges must be the successors ExpandConfig
+	// yields for the oracle's i-th configuration, mapped to oracle visit
+	// indexes, with the same event labels in canonical order. The valency
+	// answers are only as good as these edges, and the visit stream alone
+	// does not pin cross-edges.
+	ids := make(map[string]int32, len(oracle))
+	for i := range oracle {
+		ids[oracle[i].key] = int32(i)
+	}
+	snap := atlas.Snapshot()
+	for u, c := range oracleCfgs {
+		lo, hi := snap.SuccStart[u], snap.SuccStart[u+1]
+		succs := explore.ExpandConfig(pr, c, nil)
+		if int(hi-lo) != len(succs) {
+			return div("atlas id %d has %d out-edges, oracle configuration has %d successors", u, hi-lo, len(succs))
+		}
+		for k, s := range succs {
+			want, ok := ids[s.Cfg.Key()]
+			if !ok {
+				return div("successor %d of oracle visit %d was never visited by the oracle", k, u)
+			}
+			ei := lo + int32(k)
+			if got := snap.SuccTo[ei]; got != want || !snap.SuccVia[ei].Same(s.Via) {
+				return div("atlas id %d edge %d is %v -> %d, oracle has %v -> %d", u, k, snap.SuccVia[ei], got, s.Via, want)
+			}
 		}
 	}
 

@@ -57,3 +57,29 @@ func TestAllocsExploreParallel(t *testing.T) {
 		t.Fatalf("parallel Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
 }
+
+// TestAllocsBuildAtlas pins the atlas build — the level loop plus the
+// edge CSR, the predecessor inversion and the two backward passes — per
+// admitted configuration on the same fixture. The measured cost is 106.5
+// allocs/config at one worker and 108.6 at four; the ceilings keep
+// TestAllocsExploreSequential's headroom ratio (140/105) over those.
+func TestAllocsBuildAtlas(t *testing.T) {
+	pr := registryFixture(t, "waitall")
+	in := model.Inputs{model.V0, model.V1, model.V0}
+	for _, tc := range []struct {
+		workers int
+		ceiling float64
+	}{{1, 142}, {4, 145}} {
+		opt := explore.Options{MaxConfigs: 100000, Workers: tc.workers}
+		a, ok := explore.BuildAtlas(pr, model.MustInitial(pr, in), opt)
+		if !ok {
+			t.Fatal("BuildAtlas refused within budget")
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			explore.BuildAtlas(pr, model.MustInitial(pr, in), opt)
+		})
+		if per := allocs / float64(a.Len()); per > tc.ceiling {
+			t.Errorf("BuildAtlas at %d workers allocates %.1f/config, ceiling %.0f", tc.workers, per, tc.ceiling)
+		}
+	}
+}

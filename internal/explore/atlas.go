@@ -33,31 +33,11 @@ import (
 // An Atlas is immutable after construction and safe for concurrent use.
 type Atlas struct {
 	pr   model.Protocol
-	opt  Options
 	root *model.Config
 
-	// index maps configurations to dense node ids (the interner tag is the
-	// id). Node ids are assigned in breadth-first admission order; the root
-	// is node 0.
-	index *model.Interner
-	cfgs  []*model.Config
-	depth []int32
-
-	// parent/parentVia are the breadth-first tree links: the node each
-	// configuration was first reached from and the event that reached it.
-	// They recover a shortest root-to-node schedule without storing one.
-	parent    []int32
-	parentVia []model.Event
-
-	// Successor adjacency in CSR (compressed sparse row) form: node u's
-	// out-edges are succTo[succStart[u]:succStart[u+1]] with event labels
-	// succVia at the same indices, in canonical event order. Edges to
-	// already-visited configurations are recorded too — valency is a
-	// reachability property, and the breadth-first tree alone does not
-	// carry cross-edge reachability.
-	succStart []int32
-	succTo    []int32
-	succVia   []model.Event
+	// The node table is handed over whole from the AtlasBuilder that
+	// explored it (Finish) or decoded from a snapshot (LoadAtlas).
+	nodeTable
 
 	// Predecessor adjacency in CSR form: node v's in-edges are
 	// predFrom[predStart[v]:predStart[v+1]]; predEdge holds each in-edge's
@@ -84,6 +64,106 @@ type Atlas struct {
 	cfgMu     sync.Mutex
 }
 
+// nodeTable is the struct-of-arrays node table an atlas is explored into
+// (by AtlasBuilder) and answers from (as an Atlas), keyed by dense node id.
+type nodeTable struct {
+	// index maps configurations to dense node ids (the interner tag is the
+	// id). Node ids are assigned in breadth-first admission order; the root
+	// is node 0. Nil on a store-loaded atlas, whose configurations are
+	// materialized lazily (cfgs[id] == nil until then).
+	index *model.Interner
+	cfgs  []*model.Config
+	depth []int32
+
+	// parent/parentVia are the breadth-first tree links: the node each
+	// configuration was first reached from and the event that reached it.
+	// They recover a shortest root-to-node schedule without storing one.
+	parent    []int32
+	parentVia []model.Event
+
+	// Successor adjacency in CSR (compressed sparse row) form: node u's
+	// out-edges are succTo[succStart[u]:succStart[u+1]] with event labels
+	// succVia at the same indices, in canonical event order. Edges to
+	// already-visited configurations are recorded too — valency is a
+	// reachability property, and the breadth-first tree alone does not
+	// carry cross-edge reachability. The CSR is closed through the
+	// expanded prefix [0, Expanded()).
+	succStart []int32
+	succTo    []int32
+	succVia   []model.Event
+}
+
+// newNodeTable returns a table holding just the root, nothing expanded.
+func newNodeTable(root *model.Config) nodeTable {
+	t := nodeTable{index: model.NewInterner()}
+	t.index.InternTag(root, 0)
+	t.admit(root, -1, model.Event{})
+	t.succStart = append(t.succStart, 0) // CSR sentinel: node u's edges are succStart[u]:succStart[u+1]
+	return t
+}
+
+// admit appends one node's entries (everything except the successor CSR,
+// which closes when the node is expanded).
+func (t *nodeTable) admit(c *model.Config, parent int32, via model.Event) {
+	d := int32(0)
+	if parent >= 0 {
+		d = t.depth[parent] + 1
+	}
+	t.cfgs = append(t.cfgs, c)
+	t.depth = append(t.depth, d)
+	t.parent = append(t.parent, parent)
+	t.parentVia = append(t.parentVia, via)
+}
+
+// Len returns the number of nodes: admitted so far on a builder, the
+// size of the exhausted reachable set on an Atlas.
+func (t *nodeTable) Len() int { return len(t.cfgs) }
+
+// Expanded returns the number of nodes whose successor lists are closed.
+// Nodes [Expanded, Len) are the frontier Extend resumes from; on an Atlas
+// there is none.
+func (t *nodeTable) Expanded() int { return len(t.succStart) - 1 }
+
+// replay materializes node i by applying its tree event to its parent's
+// (already materialized) configuration and verifies the result against
+// the stored canonical key keys[i], so corruption — or a protocol whose
+// semantics drifted since the keys were recorded — is an error on the
+// first divergent node, never a wrong configuration.
+func (t *nodeTable) replay(pr model.Protocol, keys [][]byte, i int32) (*model.Config, error) {
+	c, err := model.Apply(pr, t.cfgs[t.parent[i]], t.parentVia[i])
+	if err != nil {
+		return nil, fmt.Errorf("explore: snapshot replay failed at node %d: %w", i, err)
+	}
+	if !bytes.Equal(c.KeyBytes(), keys[i]) {
+		return nil, fmt.Errorf("explore: snapshot replay diverged at node %d (stored key does not match)", i)
+	}
+	t.cfgs[i] = c
+	return c, nil
+}
+
+// snapshot returns the table's columns, aliased, with every node's
+// canonical key: copied from stored when non-nil (a loaded atlas, whose
+// configurations may not be materialized), computed otherwise.
+func (t *nodeTable) snapshot(stored [][]byte) *AtlasSnapshot {
+	keys := make([][]byte, len(t.cfgs))
+	if stored != nil {
+		copy(keys, stored)
+	} else {
+		for i, c := range t.cfgs {
+			keys[i] = c.KeyBytes()
+		}
+	}
+	return &AtlasSnapshot{
+		Depth:     t.depth,
+		Parent:    t.parent,
+		ParentVia: t.parentVia,
+		SuccStart: t.succStart,
+		SuccTo:    t.succTo,
+		SuccVia:   t.succVia,
+		Keys:      keys,
+	}
+}
+
 // BuildAtlas materializes the reachable configuration graph of pr from
 // root and classifies every node, within opt's budget. It reports ok=false
 // — and builds nothing usable — when the reachable set exceeds
@@ -93,87 +173,18 @@ type Atlas struct {
 // byte-identical in valency, exactness, and witness length whenever the
 // atlas would have been available.
 //
-// The build honours opt.Workers exactly like ExploreFiltered: node
-// expansion runs level-synchronously on a worker pool while a single
-// coordinator merges successors in canonical order, so node ids, edges,
-// and witnesses are byte-identical at every worker count.
+// There is one atlas loop: BuildAtlas is NewAtlasBuilder, one Extend under
+// opt, and Finish. The build therefore honours opt.Workers exactly like
+// Extend, and node ids, edges, and witnesses are byte-identical at every
+// worker count.
 func BuildAtlas(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
-	opt = opt.withDefaults()
+	opt = opt.Normalized()
 	if opt.MaxDepth != 0 || opt.MaxConfigs >= math.MaxInt32 {
 		return nil, false
 	}
-	a := &Atlas{
-		pr:    pr,
-		opt:   opt,
-		root:  root,
-		index: model.NewInterner(),
-	}
-	led := NewLedger(opt)
-	a.index.InternTag(root, 0)
-	a.admit(root, -1, model.Event{})
-	a.succStart = append(a.succStart, 0) // CSR sentinel: node u's edges are succStart[u]:succStart[u+1]
-
-	expand := func(n node, dst []Successor) []Successor { return AppendSuccessors(pr, n.cfg, nil, dst) }
-	pool := &succPool{}
-	var levelScratch []node
-	var seqBuf []Successor
-	for start, end := 0, 1; start < end; start, end = end, len(a.cfgs) {
-		var exps [][]Successor
-		if opt.Workers > 1 {
-			if cap(levelScratch) < end-start {
-				levelScratch = make([]node, end-start)
-			}
-			level := levelScratch[:end-start]
-			for i := range level {
-				level[i] = node{cfg: a.cfgs[start+i]}
-			}
-			exps = expandLevel(level, expand, opt.Workers, pool)
-		}
-		for u := start; u < end; u++ {
-			var succs []Successor
-			if exps != nil {
-				succs = exps[u-start]
-			} else {
-				seqBuf = AppendSuccessors(pr, a.cfgs[u], nil, seqBuf)
-				succs = seqBuf
-			}
-			for _, s := range succs {
-				id := int32(len(a.cfgs))
-				if got, fresh := a.index.InternTag(s.Cfg, uint64(id)); fresh {
-					if !led.Admit() {
-						return nil, false // budget exceeded: no truncated atlases
-					}
-					a.admit(s.Cfg, int32(u), s.Via)
-				} else {
-					id = int32(got)
-				}
-				a.succTo = append(a.succTo, id)
-				a.succVia = append(a.succVia, s.Via)
-			}
-			a.succStart = append(a.succStart, int32(len(a.succTo)))
-		}
-		if exps != nil {
-			pool.recycle(exps)
-		}
-	}
-
-	a.buildPred()
-	a.dist0 = a.distToValue(model.V0)
-	a.dist1 = a.distToValue(model.V1)
-	return a, true
-}
-
-// admit appends one node's struct-of-arrays entries (everything except the
-// successor CSR, which closes when the node is expanded).
-func (a *Atlas) admit(c *model.Config, parent int32, via model.Event) {
-	d := int32(0)
-	if parent >= 0 {
-		d = a.depth[parent] + 1
-	}
-	a.cfgs = append(a.cfgs, c)
-	a.depth = append(a.depth, d)
-	a.parent = append(a.parent, parent)
-	a.parentVia = append(a.parentVia, via)
+	b := NewAtlasBuilder(pr, root)
+	b.Extend(opt)
+	return b.Finish()
 }
 
 // buildPred inverts the successor CSR into the predecessor CSR by the
@@ -268,10 +279,6 @@ func (a *Atlas) distDecidedAvoiding(p model.PID) []int32 {
 	return a.backwardBFS(seed, func(e model.Event) bool { return e.P != p })
 }
 
-// Len returns the number of nodes — the size of the exhausted reachable
-// set.
-func (a *Atlas) Len() int { return len(a.cfgs) }
-
 // Edges returns the number of recorded transitions.
 func (a *Atlas) Edges() int { return len(a.succTo) }
 
@@ -299,21 +306,17 @@ func (a *Atlas) materialize(id int32) *model.Config {
 		return a.cfgs[id]
 	}
 	// Collect the unmaterialized suffix of the parent chain, then replay
-	// it forward.
+	// it forward. LoadAtlas verified the artifact's shape and root key, so
+	// a replay error here means the artifact or the protocol changed under
+	// a live atlas.
 	chain := []int32{id}
 	for p := a.parent[id]; a.cfgs[p] == nil; p = a.parent[p] {
 		chain = append(chain, p)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		u := chain[i]
-		c, err := model.Apply(a.pr, a.cfgs[a.parent[u]], a.parentVia[u])
-		if err != nil {
-			panic(fmt.Sprintf("explore: loaded atlas replay failed at node %d: %v", u, err))
+		if _, err := a.replay(a.pr, a.keys, chain[i]); err != nil {
+			panic(err)
 		}
-		if !bytes.Equal(c.KeyBytes(), a.keys[u]) {
-			panic(fmt.Sprintf("explore: loaded atlas replay diverged at node %d", u))
-		}
-		a.cfgs[u] = c
 	}
 	return a.cfgs[id]
 }

@@ -118,28 +118,20 @@ func (s *AtlasSnapshot) validateShape() error {
 	return nil
 }
 
-// AtlasBuilder is the resumable form of BuildAtlas: the same breadth-first
-// materialization, but truncation (by budget or depth) leaves a usable
-// state — every node admitted so far, the successor CSR closed through the
-// last expanded node — instead of refusing, and Extend resumes expansion
-// from exactly that point. Unlike the one-shot builder it stops *before*
-// the first node whose fresh successors would overflow the budget, so the
-// captured state is always at a clean node boundary.
+// AtlasBuilder is the atlas loop: the breadth-first materialization every
+// atlas is built by (BuildAtlas is one Extend and Finish). Truncation (by
+// budget or depth) leaves a usable state — every node admitted so far, the
+// successor CSR closed through the last expanded node — and Extend resumes
+// expansion from exactly that point. It stops *before* the first node
+// whose fresh successors would overflow the budget, so the captured state
+// is always at a clean node boundary.
 //
 // An AtlasBuilder is not safe for concurrent use; the store serializes
 // access per artifact.
 type AtlasBuilder struct {
 	pr   model.Protocol
 	root *model.Config
-
-	index     *model.Interner
-	cfgs      []*model.Config
-	depth     []int32
-	parent    []int32
-	parentVia []model.Event
-	succStart []int32
-	succTo    []int32
-	succVia   []model.Event
+	nodeTable
 
 	complete bool
 	finished bool
@@ -148,30 +140,8 @@ type AtlasBuilder struct {
 // NewAtlasBuilder returns a builder holding just the root, nothing
 // expanded.
 func NewAtlasBuilder(pr model.Protocol, root *model.Config) *AtlasBuilder {
-	b := &AtlasBuilder{pr: pr, root: root, index: model.NewInterner()}
-	b.index.InternTag(root, 0)
-	b.admit(root, -1, model.Event{})
-	b.succStart = append(b.succStart, 0)
-	return b
+	return &AtlasBuilder{pr: pr, root: root, nodeTable: newNodeTable(root)}
 }
-
-func (b *AtlasBuilder) admit(c *model.Config, parent int32, via model.Event) {
-	d := int32(0)
-	if parent >= 0 {
-		d = b.depth[parent] + 1
-	}
-	b.cfgs = append(b.cfgs, c)
-	b.depth = append(b.depth, d)
-	b.parent = append(b.parent, parent)
-	b.parentVia = append(b.parentVia, via)
-}
-
-// Len returns the number of admitted nodes.
-func (b *AtlasBuilder) Len() int { return len(b.cfgs) }
-
-// Expanded returns the number of nodes whose successor lists are closed.
-// Nodes [Expanded, Len) are the frontier Extend resumes from.
-func (b *AtlasBuilder) Expanded() int { return len(b.succStart) - 1 }
 
 // Configs exposes the admitted configurations by dense id. The slice
 // aliases the builder's arrays — callers must treat it as read-only. Its
@@ -223,11 +193,13 @@ func (b *AtlasBuilder) freshAmong(succs []Successor) int {
 // the node count past opt.MaxConfigs. When neither bound intervenes the
 // reachable set is exhausted and the builder becomes complete.
 //
-// The trajectory is deterministic: any sequence of Extend calls reaching
-// the same bounds yields byte-identical arrays to a single call, which is
-// the contract frontier persistence rests on. Expansion honours
-// opt.Workers level-synchronously exactly like the other engines; the
-// merge order (and therefore every array) is worker-count independent.
+// This is the only atlas loop; the independent reference it is checked
+// against is the sequential ExploreFiltered engine. The trajectory is
+// deterministic: any sequence of Extend calls reaching the same bounds
+// yields byte-identical arrays to a single call, which is the contract
+// frontier persistence rests on. Expansion honours opt.Workers
+// level-synchronously exactly like the parallel engine; the merge order
+// (and therefore every array) is worker-count independent.
 func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 	if b.finished {
 		panic("explore: AtlasBuilder used after Finish")
@@ -235,7 +207,6 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 	opt = opt.withDefaults()
 	pool := &succPool{}
 	var seqBuf []Successor
-	var levelScratch []node
 
 	for {
 		u := b.Expanded()
@@ -255,15 +226,8 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 		}
 		var exps [][]Successor
 		if opt.Workers > 1 {
-			if cap(levelScratch) < end-u {
-				levelScratch = make([]node, end-u)
-			}
-			level := levelScratch[:end-u]
-			for i := range level {
-				level[i] = node{cfg: b.cfgs[u+i]}
-			}
-			exps = expandLevel(level, func(n node, dst []Successor) []Successor {
-				return AppendSuccessors(b.pr, n.cfg, nil, dst)
+			exps = expandLevel(u, end, func(v int, dst []Successor) []Successor {
+				return AppendSuccessors(b.pr, b.cfgs[v], nil, dst)
 			}, opt.Workers, pool)
 		}
 		for v := u; v < end; v++ {
@@ -274,7 +238,9 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 				seqBuf = AppendSuccessors(b.pr, b.cfgs[v], nil, seqBuf)
 				succs = seqBuf
 			}
-			if len(b.cfgs)+b.freshAmong(succs) > opt.MaxConfigs {
+			// Only a node that could overflow the budget pays for the
+			// fresh count.
+			if len(b.cfgs)+len(succs) > opt.MaxConfigs && len(b.cfgs)+b.freshAmong(succs) > opt.MaxConfigs {
 				if exps != nil {
 					pool.recycle(exps)
 				}
@@ -302,38 +268,22 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 // Snapshot captures the builder's exploration state. The returned arrays
 // alias the builder's; do not Extend while a snapshot is being serialized.
 func (b *AtlasBuilder) Snapshot() *AtlasSnapshot {
-	keys := make([][]byte, len(b.cfgs))
-	for i, c := range b.cfgs {
-		keys[i] = c.KeyBytes()
-	}
-	return &AtlasSnapshot{
-		Depth:     b.depth,
-		Parent:    b.parent,
-		ParentVia: b.parentVia,
-		SuccStart: b.succStart,
-		SuccTo:    b.succTo,
-		SuccVia:   b.succVia,
-		Keys:      keys,
-		Complete:  b.complete,
-	}
+	s := b.snapshot(nil)
+	s.Complete = b.complete
+	return s
 }
 
-// Finish converts a complete builder into an Atlas — predecessor CSR plus
-// the two backward passes, exactly as BuildAtlas would have produced (the
-// admission trajectory is shared, so the arrays are byte-identical).
-// ok=false when the frontier is not empty. The builder hands its arrays to
-// the atlas and must not be used afterwards.
-func (b *AtlasBuilder) Finish(opt Options) (*Atlas, bool) {
+// Finish converts a complete builder into an Atlas: the builder hands its
+// node table over whole, and Finish adds the predecessor CSR and the two
+// backward passes. This is how every built atlas is made, BuildAtlas's
+// included. ok=false when the frontier is not empty. The builder must not
+// be used afterwards.
+func (b *AtlasBuilder) Finish() (*Atlas, bool) {
 	if !b.complete {
 		return nil, false
 	}
 	b.finished = true
-	a := &Atlas{
-		pr: b.pr, opt: opt.withDefaults(), root: b.root,
-		index: b.index, cfgs: b.cfgs, depth: b.depth,
-		parent: b.parent, parentVia: b.parentVia,
-		succStart: b.succStart, succTo: b.succTo, succVia: b.succVia,
-	}
+	a := &Atlas{pr: b.pr, root: b.root, nodeTable: b.nodeTable}
 	a.buildPred()
 	a.dist0 = a.distToValue(model.V0)
 	a.dist1 = a.distToValue(model.V1)
@@ -348,61 +298,52 @@ func (b *AtlasBuilder) Finish(opt Options) (*Atlas, bool) {
 // drifted since the snapshot was taken) surfaces as an error on the first
 // divergent node, never as a wrong atlas.
 func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnapshot) (*AtlasBuilder, error) {
-	if err := snap.validateShape(); err != nil {
+	t, err := snap.table(root)
+	if err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(snap.Keys[0], root.KeyBytes()) {
-		return nil, fmt.Errorf("explore: snapshot root key does not match the requested root")
-	}
-	b := &AtlasBuilder{pr: pr, root: root, index: model.NewInterner()}
-	b.cfgs = make([]*model.Config, len(snap.Depth))
-	b.cfgs[0] = root
+	b := &AtlasBuilder{pr: pr, root: root, nodeTable: t, complete: snap.Complete}
+	b.index = model.NewInterner()
+	b.index.InternTag(root, 0)
 	for i := 1; i < len(b.cfgs); i++ {
-		c, err := model.Apply(pr, b.cfgs[snap.Parent[i]], snap.ParentVia[i])
+		c, err := b.replay(pr, snap.Keys, int32(i))
 		if err != nil {
-			return nil, fmt.Errorf("explore: snapshot replay failed at node %d: %w", i, err)
+			return nil, err
 		}
-		if !bytes.Equal(c.KeyBytes(), snap.Keys[i]) {
-			return nil, fmt.Errorf("explore: snapshot replay diverged at node %d (stored key does not match)", i)
+		// Two ids for one configuration would let Extend admit the copy
+		// as a fresh node and finish with one node too many.
+		if first, fresh := b.index.InternTag(c, uint64(i)); !fresh {
+			return nil, fmt.Errorf("explore: snapshot node %d repeats the configuration of node %d", i, first)
 		}
-		b.cfgs[i] = c
 	}
-	for i, c := range b.cfgs {
-		b.index.InternTag(c, uint64(i))
-	}
-	b.depth = snap.Depth
-	b.parent = snap.Parent
-	b.parentVia = snap.ParentVia
-	b.succStart = snap.SuccStart
-	b.succTo = snap.SuccTo
-	b.succVia = snap.SuccVia
-	b.complete = snap.Complete
 	return b, nil
+}
+
+// table validates snap as a snapshot of root and returns its node table
+// with only the root materialized and no index.
+func (s *AtlasSnapshot) table(root *model.Config) (nodeTable, error) {
+	if err := s.validateShape(); err != nil {
+		return nodeTable{}, err
+	}
+	if !bytes.Equal(s.Keys[0], root.KeyBytes()) {
+		return nodeTable{}, fmt.Errorf("explore: snapshot root key does not match the requested root")
+	}
+	t := nodeTable{
+		cfgs:  make([]*model.Config, len(s.Depth)),
+		depth: s.Depth, parent: s.Parent, parentVia: s.ParentVia,
+		succStart: s.SuccStart, succTo: s.SuccTo, succVia: s.SuccVia,
+	}
+	t.cfgs[0] = root
+	return t, nil
 }
 
 // Snapshot captures a complete atlas's state, distance columns included,
 // for persistence. Arrays alias the atlas's (which is immutable).
 func (a *Atlas) Snapshot() *AtlasSnapshot {
-	keys := make([][]byte, len(a.cfgs))
-	if a.keys != nil {
-		copy(keys, a.keys)
-	} else {
-		for i, c := range a.cfgs {
-			keys[i] = c.KeyBytes()
-		}
-	}
-	return &AtlasSnapshot{
-		Depth:     a.depth,
-		Parent:    a.parent,
-		ParentVia: a.parentVia,
-		SuccStart: a.succStart,
-		SuccTo:    a.succTo,
-		SuccVia:   a.succVia,
-		Keys:      keys,
-		Complete:  true,
-		Dist0:     a.dist0,
-		Dist1:     a.dist1,
-	}
+	s := a.snapshot(a.keys)
+	s.Complete = true
+	s.Dist0, s.Dist1 = a.dist0, a.dist1
+	return s
 }
 
 // LoadAtlas reconstructs an Atlas from a complete snapshot without
@@ -417,28 +358,22 @@ func (a *Atlas) Snapshot() *AtlasSnapshot {
 // and every lazily materialized configuration is verified against its
 // stored key, so a stale or corrupt snapshot fails loudly instead of
 // answering wrongly.
-func LoadAtlas(pr model.Protocol, root *model.Config, opt Options, snap *AtlasSnapshot) (*Atlas, error) {
+func LoadAtlas(pr model.Protocol, root *model.Config, snap *AtlasSnapshot) (*Atlas, error) {
 	if !snap.Complete {
 		return nil, fmt.Errorf("explore: cannot load a partial snapshot as an atlas")
 	}
-	if err := snap.validateShape(); err != nil {
+	t, err := snap.table(root)
+	if err != nil {
 		return nil, err
 	}
 	if len(snap.Dist0) != len(snap.Depth) {
 		return nil, fmt.Errorf("explore: snapshot lacks distance columns")
 	}
-	if !bytes.Equal(snap.Keys[0], root.KeyBytes()) {
-		return nil, fmt.Errorf("explore: snapshot root key does not match the requested root")
-	}
 	a := &Atlas{
-		pr: pr, opt: opt.withDefaults(), root: root,
-		cfgs:  make([]*model.Config, len(snap.Depth)),
-		depth: snap.Depth, parent: snap.Parent, parentVia: snap.ParentVia,
-		succStart: snap.SuccStart, succTo: snap.SuccTo, succVia: snap.SuccVia,
+		pr: pr, root: root, nodeTable: t,
 		dist0: snap.Dist0, dist1: snap.Dist1,
 		keys: snap.Keys,
 	}
-	a.cfgs[0] = root
 	a.buildPred()
 	return a, nil
 }

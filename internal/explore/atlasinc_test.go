@@ -1,6 +1,8 @@
 package explore_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/flpsim/flp/internal/explore"
@@ -79,9 +81,61 @@ func atlasesAgree(t *testing.T, ctx string, want, got *explore.Atlas) {
 	}
 }
 
-// TestAtlasBuilderMatchesBuildAtlas: one uninterrupted Extend must land on
-// exactly the atlas BuildAtlas produces — same arrays, same
-// classifications — at one worker and several.
+// exploreSnapshot derives, from the sequential engine alone, the complete
+// snapshot an atlas build of root must produce: nodes in Explore's visit
+// order at one worker, each node's out-edges from ExpandConfig mapped to
+// those node ids in canonical event order, and each node's tree link from
+// the first edge that reaches it. It shares no code with the atlas loop,
+// so it is the independent reference for the builder's arrays.
+func exploreSnapshot(t *testing.T, pr model.Protocol, root *model.Config, opt explore.Options) *explore.AtlasSnapshot {
+	t.Helper()
+	opt.Workers = 1
+	var cfgs []*model.Config
+	var depth []int32
+	complete, _ := explore.Explore(pr, root, opt, nil, func(c *model.Config, d int, _ func() model.Schedule) bool {
+		cfgs = append(cfgs, c)
+		depth = append(depth, int32(d))
+		return false
+	})
+	if !complete {
+		t.Fatalf("Explore did not exhaust the reachable set within %d configurations", opt.MaxConfigs)
+	}
+	ids := make(map[string]int32, len(cfgs))
+	for i, c := range cfgs {
+		ids[c.Key()] = int32(i)
+	}
+	s := &explore.AtlasSnapshot{
+		Depth:     depth,
+		Parent:    make([]int32, len(cfgs)),
+		ParentVia: make([]model.Event, len(cfgs)),
+		SuccStart: []int32{0},
+		Keys:      make([][]byte, len(cfgs)),
+		Complete:  true,
+	}
+	for i := range s.Parent {
+		s.Parent[i] = -1
+	}
+	for u, c := range cfgs {
+		s.Keys[u] = c.KeyBytes()
+		for _, succ := range explore.ExpandConfig(pr, c, nil) {
+			v, ok := ids[succ.Cfg.Key()]
+			if !ok {
+				t.Fatalf("node %d has a successor Explore never visited", u)
+			}
+			if v != 0 && s.Parent[v] < 0 {
+				s.Parent[v], s.ParentVia[v] = int32(u), succ.Via
+			}
+			s.SuccTo = append(s.SuccTo, v)
+			s.SuccVia = append(s.SuccVia, succ.Via)
+		}
+		s.SuccStart = append(s.SuccStart, int32(len(s.SuccTo)))
+	}
+	return s
+}
+
+// TestAtlasBuilderMatchesBuildAtlas: one uninterrupted Extend, the
+// finished atlas, and BuildAtlas must all hold exactly the arrays derived
+// from the sequential Explore reference, at one worker and several.
 func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
 	for name := range finiteFixtures {
 		t.Run(name, func(t *testing.T) {
@@ -89,14 +143,11 @@ func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
 			opt := explore.Options{MaxConfigs: atlasTestBudget}
 			for _, inp := range model.AllInputs(pr.N()) {
 				root := model.MustInitial(pr, inp)
-				want, ok := explore.BuildAtlas(pr, root, opt)
-				if !ok {
-					t.Fatalf("inputs %s: BuildAtlas refused within budget", inp)
-				}
+				want := exploreSnapshot(t, pr, root, opt)
 				for _, workers := range []int{1, 8} {
-					b := explore.NewAtlasBuilder(pr, root)
 					wopt := opt
 					wopt.Workers = workers
+					b := explore.NewAtlasBuilder(pr, root)
 					n := b.Extend(wopt)
 					if !b.Complete() {
 						t.Fatalf("inputs %s workers %d: builder incomplete within budget", inp, workers)
@@ -104,38 +155,47 @@ func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
 					if n != want.Len() {
 						t.Fatalf("inputs %s workers %d: expanded %d nodes, want %d", inp, workers, n, want.Len())
 					}
-					snapshotsEqual(t, "builder vs BuildAtlas", want.Snapshot(), b.Snapshot())
-					got, ok := b.Finish(opt)
+					snapshotsEqual(t, "builder vs Explore", want, b.Snapshot())
+					got, ok := b.Finish()
 					if !ok {
 						t.Fatalf("inputs %s workers %d: Finish refused a complete builder", inp, workers)
 					}
-					atlasesAgree(t, "finished builder vs BuildAtlas", want, got)
+					snapshotsEqual(t, "finished builder vs Explore", want, got.Snapshot())
+					built, ok := explore.BuildAtlas(pr, root, wopt)
+					if !ok {
+						t.Fatalf("inputs %s workers %d: BuildAtlas refused within budget", inp, workers)
+					}
+					snapshotsEqual(t, "BuildAtlas vs Explore", want, built.Snapshot())
 				}
 			}
 		})
 	}
 }
 
-// TestAtlasBuilderBudgetParity: the builder must be complete exactly when
-// BuildAtlas succeeds, at every budget — the complete-or-refused contract
+// TestAtlasBuilderBudgetParity: the builder must be complete, and
+// BuildAtlas must succeed, exactly when the sequential engine exhausts the
+// reachable set within the same budget — the complete-or-refused contract
 // expressed incrementally.
 func TestAtlasBuilderBudgetParity(t *testing.T) {
 	pr := registryFixture(t, "naivemajority")
 	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	full, ok := explore.BuildAtlas(pr, root, explore.Options{MaxConfigs: atlasTestBudget})
-	if !ok {
-		t.Fatal("BuildAtlas refused within budget")
+	full, exact := explore.CountReachable(pr, root, explore.Options{MaxConfigs: atlasTestBudget, Workers: 1})
+	if !exact {
+		t.Fatal("CountReachable inexact within budget")
 	}
-	for _, budget := range []int{1, 2, 10, full.Len() - 1, full.Len(), full.Len() + 1} {
-		opt := explore.Options{MaxConfigs: budget}
-		_, wantOK := explore.BuildAtlas(pr, root, opt)
+	for _, budget := range []int{1, 2, 10, full - 1, full, full + 1} {
+		opt := explore.Options{MaxConfigs: budget, Workers: 1}
+		_, wantOK := explore.CountReachable(pr, root, opt)
 		b := explore.NewAtlasBuilder(pr, root)
 		b.Extend(opt)
 		if b.Complete() != wantOK {
-			t.Errorf("budget %d: builder complete = %v, BuildAtlas ok = %v", budget, b.Complete(), wantOK)
+			t.Errorf("budget %d: builder complete = %v, CountReachable exact = %v", budget, b.Complete(), wantOK)
 		}
 		if b.Len() > budget {
 			t.Errorf("budget %d: builder admitted %d nodes over budget", budget, b.Len())
+		}
+		if _, ok := explore.BuildAtlas(pr, root, opt); ok != wantOK {
+			t.Errorf("budget %d: BuildAtlas ok = %v, CountReachable exact = %v", budget, ok, wantOK)
 		}
 	}
 }
@@ -200,11 +260,39 @@ func TestAtlasBuilderSnapshotRestore(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	snapshotsEqual(t, "restored vs BuildAtlas", want.Snapshot(), restored.Snapshot())
-	got, ok := restored.Finish(budget)
+	got, ok := restored.Finish()
 	if !ok {
 		t.Fatal("Finish refused a complete restored builder")
 	}
 	atlasesAgree(t, "restored vs BuildAtlas", want, got)
+}
+
+// TestRestoreAtlasBuilderRejectsDuplicateNode: a snapshot that lists one
+// configuration under two node ids would let the restored builder treat
+// the copy as a fresh node and finish with one node too many, so restore
+// must refuse it and name both ids.
+func TestRestoreAtlasBuilderRejectsDuplicateNode(t *testing.T) {
+	pr := registryFixture(t, "naivemajority")
+	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
+	b := explore.NewAtlasBuilder(pr, root)
+	b.Extend(explore.Options{MaxConfigs: atlasTestBudget, MaxDepth: 1})
+	snap := b.Snapshot()
+	last := snap.Len() - 1
+	dup := *snap
+	dup.Depth = append(append([]int32(nil), snap.Depth...), snap.Depth[last])
+	dup.Parent = append(append([]int32(nil), snap.Parent...), snap.Parent[last])
+	dup.ParentVia = append(append([]model.Event(nil), snap.ParentVia...), snap.ParentVia[last])
+	dup.Keys = append(append([][]byte(nil), snap.Keys...), snap.Keys[last])
+
+	_, err := explore.RestoreAtlasBuilder(pr, root, &dup)
+	if err == nil {
+		t.Fatal("RestoreAtlasBuilder accepted a snapshot that lists one configuration twice")
+	}
+	for _, id := range []int{last, last + 1} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("node %d", id)) {
+			t.Errorf("error %q does not name node %d", err, id)
+		}
+	}
 }
 
 // TestLoadAtlasMatchesBuilt: an atlas round-tripped through its snapshot
@@ -222,7 +310,7 @@ func TestLoadAtlasMatchesBuilt(t *testing.T) {
 				if !ok {
 					t.Fatalf("inputs %s: BuildAtlas refused within budget", inp)
 				}
-				got, err := explore.LoadAtlas(pr, root, opt, want.Snapshot())
+				got, err := explore.LoadAtlas(pr, root, want.Snapshot())
 				if err != nil {
 					t.Fatalf("inputs %s: LoadAtlas: %v", inp, err)
 				}
@@ -256,7 +344,7 @@ func TestLoadAtlasRejectsPartialAndForeign(t *testing.T) {
 	dOpt := opt
 	dOpt.MaxDepth = 2
 	b.Extend(dOpt)
-	if _, err := explore.LoadAtlas(pr, root, opt, b.Snapshot()); err == nil {
+	if _, err := explore.LoadAtlas(pr, root, b.Snapshot()); err == nil {
 		t.Error("LoadAtlas accepted a partial snapshot")
 	}
 
@@ -265,7 +353,7 @@ func TestLoadAtlasRejectsPartialAndForeign(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	other := model.MustInitial(pr, model.Inputs{1, 1, 1})
-	if _, err := explore.LoadAtlas(pr, other, opt, a.Snapshot()); err == nil {
+	if _, err := explore.LoadAtlas(pr, other, a.Snapshot()); err == nil {
 		t.Error("LoadAtlas accepted a snapshot of a different root")
 	}
 	if _, err := explore.RestoreAtlasBuilder(pr, other, a.Snapshot()); err == nil {

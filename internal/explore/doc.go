@@ -31,15 +31,22 @@
 //
 // [Options.Workers] selects the engine: <= 1 runs the classic sequential
 // loop, > 1 (the default is GOMAXPROCS) runs a level-synchronous parallel
-// BFS. Each frontier level is a contiguous slice of the node array; workers
-// expand nodes concurrently — event enumeration, no-op filtering, successor
-// application, and hash precomputation are all pure — and a single
-// coordinator then merges the per-node successor lists back in canonical
-// (node index, event order) order. Because visiting, deduplication,
-// budgeting, and witness selection all happen on the coordinator in that
-// fixed order, every observable — the visit stream, reachable counts,
-// truncation flags, valency witnesses, reports — is byte-identical at every
-// worker count. The differential tests in this package pin that contract.
+// BFS. Each frontier level is a contiguous index range of the node table;
+// workers expand nodes concurrently — event enumeration, no-op filtering,
+// successor application, and hash precomputation are all pure — and a
+// single coordinator then merges the per-node successor lists back in
+// canonical (node index, event order) order. Because visiting,
+// deduplication, budgeting, and witness selection all happen on the
+// coordinator in that fixed order, every observable — the visit stream,
+// reachable counts, truncation flags, valency witnesses, reports — is
+// byte-identical at every worker count. The differential tests in this
+// package pin that contract.
+//
+// The valency atlas has one build loop, [AtlasBuilder.Extend], which
+// expands level by level the same way; [BuildAtlas] is one Extend followed
+// by [AtlasBuilder.Finish]. The sequential [ExploreFiltered] loop is kept
+// separate on purpose: it is the reference the parallel, distributed and
+// atlas engines are all checked against.
 //
 // Deduplication uses [model.Interner]: a sharded table keyed by the cached
 // 64-bit FNV-1a hash of the canonical key, with hash hits confirmed by full

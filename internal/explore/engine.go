@@ -5,14 +5,19 @@ import (
 )
 
 // This file is the engine core shared by every exploration engine: the
-// sequential and parallel in-process engines of this package and the
-// distributed engine of package distexplore. All three are the same
-// breadth-first algorithm — expand frontier nodes in canonical order,
-// deduplicate successors against a visited set, admit first-seen
-// configurations under a budget — differing only in where the work runs.
-// Factoring expansion (ExpandConfig) and admission accounting (Ledger)
-// here is what makes the byte-identical-results contract a property of one
-// implementation rather than three parallel reimplementations.
+// sequential and parallel in-process engines of this package, the atlas
+// loop (AtlasBuilder.Extend, which BuildAtlas runs), and the distributed
+// engine of package distexplore. All are the same breadth-first algorithm
+// — expand frontier nodes in canonical order, deduplicate successors
+// against a visited set, admit first-seen configurations under a budget —
+// differing in where the work runs and what they record. Factoring
+// expansion (ExpandConfig, and expandLevel in parallel.go for the
+// level-synchronous loops) and admission accounting (Ledger) here is what
+// makes the byte-identical-results contract a property of one
+// implementation rather than parallel reimplementations. The one loop kept
+// apart on purpose is the sequential engine of ExploreFiltered, which fuses
+// expansion and merging: it is the independent oracle every other engine,
+// the atlas included, is checked against.
 
 // Successor is one expansion product: the applied event together with the
 // resulting configuration, its fingerprint precomputed.

@@ -54,8 +54,9 @@ func (p *succPool) recycle(out [][]Successor) {
 	}
 }
 
-// expandLevel runs expand over every node of one breadth-first level on a
-// pool of workers and returns the successor lists indexed like level.
+// expandLevel runs expand over every node of one breadth-first level — the
+// index range [start, end) of the caller's node table — on a pool of
+// workers and returns the successor lists, node i's at index i-start.
 // Expansion is pure, so the only coordination is work distribution: an
 // atomic cursor hands out node indices, which keeps fast workers busy when
 // node costs are uneven. Each slot of the returned slice carries a
@@ -68,14 +69,15 @@ func (p *succPool) recycle(out [][]Successor) {
 // frontier index is re-raised — the node the sequential engine would have
 // reached first — so the surfaced failure is byte-identical at every
 // worker count.
-func expandLevel(level []node, expand func(node, []Successor) []Successor, workers int, p *succPool) [][]Successor {
-	out := p.level(len(level))
-	if len(level) == 1 {
-		out[0] = expand(level[0], out[0])
+func expandLevel(start, end int, expand func(i int, dst []Successor) []Successor, workers int, p *succPool) [][]Successor {
+	n := end - start
+	out := p.level(n)
+	if n == 1 {
+		out[0] = expand(start, out[0])
 		return out
 	}
-	if workers > len(level) {
-		workers = len(level)
+	if workers > n {
+		workers = n
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -96,11 +98,11 @@ func expandLevel(level []node, expand func(node, []Successor) []Successor, worke
 			}()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(level) {
+				if i >= n {
 					return
 				}
 				cur = i
-				out[i] = expand(level[i], out[i])
+				out[i] = expand(start+i, out[i])
 			}
 		}(w)
 	}

@@ -77,11 +77,12 @@ func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(
 		}
 	}
 
-	// expand computes the successors of one node via the shared engine
+	// expand computes the successors of node i via the shared engine
 	// core, appending into a buffer recycled across levels. It is a pure
 	// function of the node and its buffer, so workers may run it ahead of
 	// the coordinator without changing results.
-	expand := func(n node, dst []Successor) []Successor {
+	expand := func(i int, dst []Successor) []Successor {
+		n := nodes[i]
 		if opt.DepthCapped(n.depth) {
 			return dst[:0]
 		}
@@ -148,7 +149,7 @@ func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(
 	for start, end := 0, 1; start < end; start, end = end, len(nodes) {
 		var exps [][]Successor
 		if !led.Sealed() {
-			exps = expandLevel(nodes[start:end], expand, opt.Workers, pool)
+			exps = expandLevel(start, end, expand, opt.Workers, pool)
 		}
 		for i := start; i < end; i++ {
 			n := nodes[i]
