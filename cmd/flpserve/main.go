@@ -30,6 +30,10 @@ import (
 	"github.com/flpsim/flp/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot pin a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to serve on")
@@ -47,7 +51,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flpserve: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Addr: *listen, Handler: s.Handler()}
+	hs := &http.Server{Addr: *listen, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// SIGINT/SIGTERM: stop admitting, finish or cancel jobs, flush
 	// responses, then close the listener.

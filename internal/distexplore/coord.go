@@ -47,14 +47,13 @@ type RPCOptions struct {
 	// The offer is adaptive: on transports that declare themselves
 	// in-process (InProcessTransport — loopback, and fault wrappers
 	// around it), Compress is ignored and frames stay plain, because
-	// deflating bytes that never leave the process is pure CPU loss
-	// (E21: 302ms compressed vs 183ms plain on the loopback failover
-	// scenario). Real network transports (TCP) negotiate as before.
+	// deflating bytes that never leave the process is pure CPU loss.
+	// Real network transports (TCP) negotiate as before.
 	Compress bool
 	// CompressForce negotiates compression regardless of the transport's
 	// locality — the override for measuring compression itself (the
-	// differential tests and E21's compressed scenarios) or for an
-	// in-process transport proxying to somewhere expensive after all.
+	// differential tests) or for an in-process transport proxying to
+	// somewhere expensive after all.
 	CompressForce bool
 	// RejoinWait, when positive, converts a shard-coverage loss (every
 	// replica of some shard dead) from a hard abort into a bounded wait: the

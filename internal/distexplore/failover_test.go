@@ -260,8 +260,8 @@ func TestCompressionWithFailover(t *testing.T) {
 // in-process transport (loopback, bare or wrapped in a fault injector)
 // never negotiates — every connection stays plain — while CompressForce
 // overrides, and redials after a severed connection stay plain too. This
-// is the regression test for the loopback compression loss measured in
-// E21 (compression is pure CPU cost when bytes never leave the process).
+// is the regression test for the loopback compression loss (compression
+// is pure CPU cost when bytes never leave the process).
 func TestAdaptiveCompressionLoopback(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 300}, Shards: 3, Replicas: 2}

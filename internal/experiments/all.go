@@ -41,6 +41,28 @@ func DefaultSizes() Sizes {
 	}
 }
 
+// Scale multiplies every per-cell count by k: each *Trials, *Runs and
+// *Seeds field and E4Fair. E4Stages (a run length, not a count of runs)
+// and Seed are left alone. A k below 2 returns s unchanged.
+func (s Sizes) Scale(k int) Sizes {
+	if k < 2 {
+		return s
+	}
+	s.E1Trials *= k
+	s.E4Fair *= k
+	s.E5Runs *= k
+	s.E6Runs *= k
+	s.E7Trials *= k
+	s.E9Runs *= k
+	s.E10Seeds *= k
+	s.E12Seeds *= k
+	s.E14Seeds *= k
+	s.E15Seeds *= k
+	s.E16Seeds *= k
+	s.E17Seeds *= k
+	return s
+}
+
 // Runner names one experiment and how to produce its table.
 type Runner struct {
 	ID  string
@@ -68,13 +90,6 @@ func Suite(s Sizes) []Runner {
 		{"E16", func() (*Table, error) { return E16ReliableBroadcast(s.E16Seeds) }},
 		{"E17", func() (*Table, error) { return E17Multivalued(s.E17Seeds) }},
 		{"E18", func() (*Table, error) { return E18Election(0) }},
-		{"E19", E19DistExplore},
-		{"E20", E20ValencyAtlas},
-		{"E21", E21Failover},
-		{"E22", E22Serve},
-		{"E23", E23Scaling},
-		{"E24", E24AtlasStore},
-		{"E25", E25Checkpoint},
 	}
 }
 

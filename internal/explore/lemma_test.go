@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/flpsim/flp/internal/explore"
@@ -91,10 +92,20 @@ func TestLemma3CensusOnBivalentConfig(t *testing.T) {
 	c := model.MustInitial(pr, in(0, 1, 1))
 	cache := explore.NewCache(pr, explore.Options{})
 
-	for _, e := range []model.Event{model.NullEvent(0), model.NullEvent(2)} {
+	for _, e := range []model.Event{model.NullEvent(0), model.NullEvent(1), model.NullEvent(2)} {
 		res, err := explore.CensusLemma3(pr, c, e, explore.Options{}, cache)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The tally of D = e(ℰ) must match classifying every member of D
+		// one by one, independently of the shared atlas behind the cache.
+		want := map[explore.Valency]int{}
+		explore.Explore(pr, c, explore.Options{}, &e, func(E *model.Config, _ int, _ func() model.Schedule) bool {
+			want[explore.Classify(pr, model.MustApply(pr, E, e), explore.Options{}).Valency]++
+			return false
+		})
+		if !reflect.DeepEqual(res.DValencies, want) {
+			t.Errorf("event %s: census tallies D as %v, per-config classification gives %v", e, res.DValencies, want)
 		}
 		if !res.Complete {
 			t.Errorf("event %s: frontier not exhausted on a finite protocol", e)

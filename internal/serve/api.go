@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -334,12 +335,22 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v a
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBody caps a submitted request body. Real requests are under
+// 200 bytes; the cap keeps one oversized POST from growing the heap.
+const maxRequestBody = 1 << 20
+
 // submit decodes a request body, admits the job, and answers 202 with the
-// job's initial view — or 503 + Retry-After when draining or full.
+// job's initial view — or 413 for a body over maxRequestBody, or 503 +
+// Retry-After when draining or full.
 func submit[R any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, kind JobKind, mk func(R) jobFunc) {
 	var req R
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, endpoint, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.writeJSON(w, endpoint, code, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	j, err := s.queue.Submit(kind, req, mk(req))

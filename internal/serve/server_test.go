@@ -285,6 +285,21 @@ func TestJobStatusAndErrors(t *testing.T) {
 		t.Errorf("bad body: status %d, want 400", resp.StatusCode)
 	}
 
+	// A body over the cap is refused without taking the server down: a
+	// normal census is still admitted afterwards.
+	huge := `{"protocol":"` + strings.Repeat("a", 2<<20) + `","n":3}`
+	resp, err = http.Post(hs.URL+"/v1/census", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: status %d, want 413", resp.StatusCode)
+	}
+	if resp := postJSON(t, hs.URL+"/v1/census", CensusRequest{Protocol: "naivemajority", N: 3}, nil); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("census after the oversized body: status %d, want 202", resp.StatusCode)
+	}
+
 	var view struct {
 		State JobState `json:"state"`
 		Error string   `json:"error"`
