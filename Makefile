@@ -56,8 +56,11 @@ test-store:
 serve:
 	$(GO) run ./cmd/flpserve -listen 127.0.0.1:8080 -pool 4
 
+# Model-layer fuzzing: the configuration key/hash contract, and the
+# message buffer's Send/Remove sequences against a reference multiset.
 fuzz:
-	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime 30s
+	$(GO) test ./internal/model -run '^$$' -fuzz FuzzConfigKeyHash -fuzztime 30s
+	$(GO) test ./internal/model -run '^$$' -fuzz FuzzBufferOps -fuzztime 30s
 
 # Cross-engine conformance fuzzing: random generated protocols through
 # sequential, parallel, distributed (fault-free and under a scripted

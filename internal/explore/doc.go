@@ -23,7 +23,9 @@
 //
 // Exploration soundness notes. Null events that are no-ops (the process
 // state does not change and nothing is sent) are skipped; they generate no
-// new configurations, so no reachable configuration is lost. Duplicate
+// new configurations, so no reachable configuration is lost. The test and
+// the successor come from one protocol step (model.ApplyUnlessNoOp), and
+// skip exactly what model.IsNoOp reports. Duplicate
 // message copies are interchangeable under multiset semantics, so event
 // enumeration per distinct message is exhaustive.
 //

@@ -26,15 +26,21 @@ type Successor struct {
 	Cfg *model.Config
 }
 
-// skipEvent reports whether e is excluded from the expansion of c: either
-// the caller's filter rejects it, or it is a null event that would not
-// change the system state (skipping no-op nulls is what keeps the explored
-// state space of a finite protocol finite).
-func skipEvent(pr model.Protocol, c *model.Config, e model.Event, skip func(model.Event) bool) bool {
+// successor returns e(c), or nil when e is excluded from the expansion of
+// c: either the caller's filter rejects it, or it is a null event that
+// would not change the system state (skipping no-op nulls is what keeps
+// the explored state space of a finite protocol finite). One
+// Protocol.Step decides both the no-op and the successor. A protocol
+// contract violation panics, as MustApply does.
+func successor(pr model.Protocol, c *model.Config, e model.Event, skip func(model.Event) bool) *model.Config {
 	if skip != nil && skip(e) {
-		return true
+		return nil
 	}
-	return e.IsNull() && model.IsNoOp(pr, c, e)
+	nc, err := model.ApplyUnlessNoOp(pr, c, e)
+	if err != nil {
+		panic(err)
+	}
+	return nc
 }
 
 // ExpandConfig enumerates the successors of c under pr in canonical event
@@ -54,10 +60,10 @@ func ExpandConfig(pr model.Protocol, c *model.Config, skip func(model.Event) boo
 func AppendSuccessors(pr model.Protocol, c *model.Config, skip func(model.Event) bool, dst []Successor) []Successor {
 	dst = dst[:0]
 	for _, e := range model.Events(c) {
-		if skipEvent(pr, c, e, skip) {
+		nc := successor(pr, c, e, skip)
+		if nc == nil {
 			continue
 		}
-		nc := model.MustApply(pr, c, e)
 		nc.Hash()
 		dst = append(dst, Successor{Via: e, Cfg: nc})
 	}

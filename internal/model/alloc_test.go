@@ -59,13 +59,13 @@ func TestAllocsInternHit(t *testing.T) {
 		nc := model.MustApply(pr, c, e)
 		it.Intern(nc)
 	})
-	// Materialization (states slice, buffer clone, config) costs 18
-	// allocs/op on this fixture (BenchmarkApplyOnly); the key machinery on
-	// top — changed-state re-encode, buffer field, binary key buffer — costs
-	// 7, down from ~38 on the escaped-string path (≥5×, the PR-8 bar). The
-	// interner lookup itself must not allocate, so the ceiling pins
+	// Materialization (states slice, buffer entries, config, protocol
+	// step) costs 10 allocs/op on this fixture (BenchmarkApplyOnly); the
+	// key machinery on top — changed-state re-encode, binary key buffer —
+	// costs 5, against ~38 on an escaped-string key path. The interner
+	// lookup itself must not allocate, so the ceiling pins
 	// materialization + key build + 1 slack.
-	const ceiling = 26
+	const ceiling = 16
 	if allocs > ceiling {
 		t.Fatalf("dedup-hit intern path allocates %.1f/op, ceiling %d", allocs, ceiling)
 	}
@@ -80,9 +80,38 @@ func TestAllocsConfigHash(t *testing.T) {
 		nc := model.MustApply(pr, c, e)
 		nc.Hash()
 	})
-	const ceiling = 26
+	const ceiling = 16
 	if allocs > ceiling {
 		t.Fatalf("cold Config.Hash path allocates %.1f/op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestAllocsNullEvent pins the null events of the fixture's
+// configuration through the exploration path, ApplyUnlessNoOp. A no-op
+// null event (p0's and p1's: both have broadcast already) costs one
+// protocol step and one state key, 4 allocs/op, where IsNoOp alone costs
+// 7 because it builds the old state's key too; the effectful one (p2's
+// first broadcast) costs the step, the successor and its key, 13 allocs/op
+// including Hash, where IsNoOp + MustApply + Hash cost 16.
+func TestAllocsNullEvent(t *testing.T) {
+	pr, c, _ := internFixture(t)
+	for _, tc := range []struct {
+		p       model.PID
+		noop    bool
+		ceiling float64
+	}{{0, true, 5}, {1, true, 5}, {2, false, 14}} {
+		e := model.NullEvent(tc.p)
+		if model.IsNoOp(pr, c, e) != tc.noop {
+			t.Fatalf("fixture drifted: IsNoOp(p%d) = %v, want %v", tc.p, !tc.noop, tc.noop)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if nc, _ := model.ApplyUnlessNoOp(pr, c, e); nc != nil {
+				nc.Hash()
+			}
+		})
+		if allocs > tc.ceiling {
+			t.Errorf("null event of p%d (no-op %v) allocates %.1f/op, ceiling %.0f", tc.p, tc.noop, allocs, tc.ceiling)
+		}
 	}
 }
 

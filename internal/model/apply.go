@@ -35,7 +35,7 @@ func (e *ProtocolError) Error() string {
 //
 // Sent messages have their From field stamped with e.P.
 func Apply(pr Protocol, c *Config, e Event) (*Config, error) {
-	nc, _, err := ApplyTraced(pr, c, e)
+	nc, _, err := apply(pr, c, e, false)
 	return nc, err
 }
 
@@ -43,6 +43,32 @@ func Apply(pr Protocol, c *Config, e Event) (*Config, error) {
 // the step (with From stamped), for callers that maintain send-order
 // bookkeeping on top of the untimed buffer.
 func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
+	nc, sends, err := apply(pr, c, e, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	stamped := make([]Message, len(sends))
+	for i, m := range sends {
+		m.From = e.P
+		stamped[i] = m
+	}
+	return nc, stamped, nil
+}
+
+// ApplyUnlessNoOp is Apply for exploration: it returns e(c), or nil and no
+// error when e is a null event that IsNoOp reports as a no-op, with a
+// single Protocol.Step either way. The stepped state's key, once built for
+// the no-op test, is handed to the successor's key build; the old state's
+// key is read from c's cached binary key when there is one.
+func ApplyUnlessNoOp(pr Protocol, c *Config, e Event) (*Config, error) {
+	nc, _, err := apply(pr, c, e, true)
+	return nc, err
+}
+
+// apply is the one step path behind Apply, ApplyTraced and
+// ApplyUnlessNoOp (skipNoOp). It returns the step's sends as the protocol
+// produced them, before stamping.
+func apply(pr Protocol, c *Config, e Event, skipNoOp bool) (*Config, []Message, error) {
 	if int(e.P) < 0 || int(e.P) >= c.N() {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "no such process"}
 	}
@@ -51,6 +77,13 @@ func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
 	}
 	old := c.State(e.P)
 	ns, sends := pr.Step(e.P, old, e.Msg)
+	var nsKey string
+	keyed := skipNoOp && e.Msg == nil && ns != nil && len(sends) == 0
+	if keyed {
+		if nsKey = ns.Key(); c.stateKeyEquals(e.P, nsKey) {
+			return nil, nil, nil
+		}
+	}
 	if ns == nil {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "Step returned nil state"}
 	}
@@ -60,18 +93,17 @@ func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
 			Reason: fmt.Sprintf("output register is write-once: was %s, Step changed it to %s", o, ns.Output()),
 		}
 	}
-	stamped := make([]Message, len(sends))
-	for i, m := range sends {
+	for _, m := range sends {
 		if int(m.To) < 0 || int(m.To) >= c.N() {
 			return nil, nil, &ProtocolError{
 				Protocol: pr.Name(), P: e.P,
 				Reason: fmt.Sprintf("sent message to nonexistent process %d", m.To),
 			}
 		}
-		m.From = e.P
-		stamped[i] = m
 	}
-	return c.withStep(e.P, ns, e.Msg, stamped), stamped, nil
+	nc := c.withStep(e.P, ns, e.Msg, sends)
+	nc.stepKey, nc.hasStepKey = nsKey, keyed
+	return nc, sends, nil
 }
 
 // MustApply is Apply but panics on error, for contexts (explorer internals,

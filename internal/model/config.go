@@ -36,7 +36,7 @@ import (
 // store wins and all stores are equal.
 type Config struct {
 	states []State
-	buf    *Buffer
+	buf    Buffer
 	key    atomic.Pointer[string] // lazily computed canonical key (string view)
 	bkey   atomic.Pointer[[]byte] // lazily computed binary canonical key
 	hash   atomic.Uint64          // lazily computed fingerprint; 0 = unset
@@ -49,6 +49,12 @@ type Config struct {
 	// is retained through it.
 	parentKey []byte
 	parentP   int32
+
+	// stepKey is the stepped state's key when the step that built this
+	// configuration already computed it (ApplyUnlessNoOp does for null
+	// events), so the incremental key build does not compute it again.
+	hasStepKey bool
+	stepKey    string
 }
 
 // Initial returns the initial configuration of pr for the given input
@@ -75,7 +81,7 @@ func Initial(pr Protocol, in Inputs) (*Config, error) {
 		}
 		states[p] = s
 	}
-	return &Config{states: states, buf: NewBuffer()}, nil
+	return &Config{states: states}, nil
 }
 
 // MustInitial is Initial but panics on error, for tests and examples with
@@ -96,7 +102,7 @@ func (c *Config) State(p PID) State { return c.states[p] }
 
 // Buffer returns the message buffer. Callers must not mutate it; use Apply
 // to take steps.
-func (c *Config) Buffer() *Buffer { return c.buf }
+func (c *Config) Buffer() *Buffer { return &c.buf }
 
 // Output returns the output register content of process p.
 func (c *Config) Output(p PID) Output { return c.states[p].Output() }
@@ -238,29 +244,54 @@ func (c *Config) buildKeyBytes() []byte {
 	return b
 }
 
-// keyBytesFromParent assembles the binary key from the parent's: fields
-// before and after the stepped process are byte ranges of parentKey; only
-// the stepped state's key and the buffer key are rebuilt. ok=false on a
-// malformed parent key (never produced by this package), falling back to
-// the full build.
-func (c *Config) keyBytesFromParent(bufLen int) ([]byte, bool) {
-	pk, p, n := c.parentKey, int(c.parentP), len(c.states)
-	// Walk the n state fields, recording the stepped field's byte span.
-	off, pStart, pEnd := 0, -1, -1
+// stateField returns the byte span [start, end) of state field p, its
+// length prefix included, in the binary key k of an n-process
+// configuration, and the offset where the state fields end. ok=false on a
+// malformed key (never produced by this package).
+func stateField(k []byte, n, p int) (start, end, statesEnd int, ok bool) {
+	off := 0
+	start = -1
 	for i := 0; i < n; i++ {
-		l, un := binary.Uvarint(pk[off:])
-		if un <= 0 || off+un+int(l) > len(pk) {
-			return nil, false
+		l, un := binary.Uvarint(k[off:])
+		if un <= 0 || off+un+int(l) > len(k) {
+			return 0, 0, 0, false
 		}
 		if i == p {
-			pStart, pEnd = off, off+un+int(l)
+			start, end = off, off+un+int(l)
 		}
 		off += un + int(l)
 	}
-	if pStart < 0 || off > len(pk) {
+	return start, end, off, start >= 0
+}
+
+// stateKeyEquals reports whether process p's state key in c is k. When
+// c's binary key is cached the field is compared in place, so the old
+// state's key is not rebuilt.
+func (c *Config) stateKeyEquals(p PID, k string) bool {
+	if bk := c.bkey.Load(); bk != nil {
+		if start, end, _, ok := stateField(*bk, len(c.states), int(p)); ok {
+			_, un := binary.Uvarint((*bk)[start:end])
+			return string((*bk)[start+un:end]) == k
+		}
+	}
+	return c.states[p].Key() == k
+}
+
+// keyBytesFromParent assembles the binary key from the parent's: fields
+// before and after the stepped process are byte ranges of parentKey; only
+// the stepped state's key (unless the step already built it) and the
+// buffer key are built. ok=false on a malformed parent key, falling back
+// to the full build.
+func (c *Config) keyBytesFromParent(bufLen int) ([]byte, bool) {
+	pk, p := c.parentKey, int(c.parentP)
+	pStart, pEnd, off, ok := stateField(pk, len(c.states), p)
+	if !ok {
 		return nil, false
 	}
-	newField := c.states[p].Key()
+	newField := c.stepKey
+	if !c.hasStepKey {
+		newField = c.states[p].Key()
+	}
 	size := pStart + uvarintLen(uint64(len(newField))) + len(newField) +
 		(off - pEnd) + uvarintLen(uint64(bufLen)) + bufLen
 	b := make([]byte, 0, size)
@@ -342,23 +373,28 @@ func (c *Config) String() string {
 }
 
 // withStep returns the configuration that results from replacing process
-// p's state and updating the buffer. Internal constructor used by Apply.
-// When the parent's binary key is already materialized (every frontier
-// node's is by the time it is expanded), the child records it plus the
-// stepped process, so its own key build copies the unchanged state fields
-// instead of recomputing them.
+// p's state, consuming remove (when non-nil) and sending sends with their
+// From stamped p. Internal constructor used by the Apply family. A step
+// that neither consumes nor sends shares c's buffer entries, which no
+// configuration ever mutates. When the parent's binary key is already
+// materialized (every frontier node's is by the time it is expanded), the
+// child records it plus the stepped process, so its own key build copies
+// the unchanged state fields instead of recomputing them.
 func (c *Config) withStep(p PID, ns State, remove *Message, sends []Message) *Config {
 	states := make([]State, len(c.states))
 	copy(states, c.states)
 	states[p] = ns
-	buf := c.buf.Clone()
-	if remove != nil {
-		buf.Remove(*remove)
+	nc := &Config{states: states, buf: c.buf}
+	if remove != nil || len(sends) > 0 {
+		nc.buf = c.buf.cloneFor(len(sends))
+		if remove != nil {
+			nc.buf.Remove(*remove)
+		}
+		for _, m := range sends {
+			m.From = p
+			nc.buf.Send(m)
+		}
 	}
-	for _, m := range sends {
-		buf.Send(m)
-	}
-	nc := &Config{states: states, buf: buf}
 	if pk := c.bkey.Load(); pk != nil {
 		nc.parentKey, nc.parentP = *pk, int32(p)
 	}

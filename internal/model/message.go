@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/flpsim/flp/internal/enc"
 )
@@ -26,10 +27,17 @@ type Message struct {
 
 // Key returns the canonical encoding of the message, used as its identity
 // in the buffer multiset.
+// It is the enc.Builder encoding of the fields To, From and the escaped
+// Body, assembled in one stack buffer.
 func (m Message) Key() string {
-	var b enc.Builder
-	b.Int(int(m.To)).Int(int(m.From)).Str(enc.Escape(m.Body))
-	return b.String()
+	var scratch [64]byte
+	b := strconv.AppendInt(scratch[:0], int64(m.To), 10)
+	b = append(b, enc.Sep...)
+	b = strconv.AppendInt(b, int64(m.From), 10)
+	b = append(b, enc.Sep...)
+	b = append(b, enc.Escape(m.Body)...)
+	b = append(b, enc.Sep...)
+	return string(b)
 }
 
 func (m Message) String() string {

@@ -3,6 +3,7 @@ package protocols
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
@@ -93,13 +94,13 @@ func (o *OneThirdRule) Step(p model.PID, s model.State, m *model.Message) (model
 		var r int
 		var v int
 		if n, _ := fmt.Sscanf(m.Body, "E|%d|%d", &r, &v); n == 2 && r >= st.round {
-			k := fmt.Sprintf("%d", r)
+			k := strconv.Itoa(r)
 			st.inbox[k] = st.inbox[k].with(m.From, model.Value(v))
 		}
 	}
 
 	for {
-		k := fmt.Sprintf("%d", st.round)
+		k := strconv.Itoa(st.round)
 		got := st.inbox[k]
 		if len(got) < o.threshold() {
 			break

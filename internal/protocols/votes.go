@@ -1,10 +1,8 @@
 package protocols
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/flpsim/flp/internal/model"
 )
@@ -25,19 +23,23 @@ func (v votes) with(p model.PID, val model.Value) votes {
 
 // key returns the canonical encoding: sorted "pid:val" pairs.
 func (v votes) key() string {
-	ids := make([]int, 0, len(v))
+	var idScratch [16]int
+	ids := idScratch[:0]
 	for p := range v {
 		ids = append(ids, int(p))
 	}
 	sort.Ints(ids)
-	var sb strings.Builder
+	var scratch [64]byte
+	b := scratch[:0]
 	for i, id := range ids {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%d:%d", id, v[model.PID(id)])
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(v[model.PID(id)]), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // count returns how many collected votes equal val.
